@@ -1,26 +1,21 @@
 """The fabric worker loop (``repro-worker``).
 
 A worker registers with the coordinator, leases a slice of cells,
-simulates them, and **streams completions back as each cell finishes**
-— per-cell for serial DES work, per-completed-wave when fanning cells
-across its local process pool — so the coordinator's straggler and
-requeue logic always sees fresh progress, not a silent worker that
-dumps everything at lease end.
+runs them, and **streams completions back as each cell finishes**, so
+the coordinator's straggler and requeue logic always sees fresh
+progress, not a silent worker that dumps everything at lease end.
 
-Scale comes from two places:
-
-* **A per-worker process pool** (``--procs`` / ``REPRO_WORKER_PROCS``,
-  default ``os.cpu_count()``): DES cells of a lease are fanned across
-  ``procs`` local processes with the same recovery semantics as the
-  local runner — a crashed pool is rebuilt and its unfinished cells
-  re-run (bounded rounds, then in-process serial fallback), cell
-  exceptions are shipped as billed failure reports, and an optional
-  stall timeout declares silent rounds hung.  The worker registers
-  ``procs`` as its *capacity* so the coordinator sizes leases to keep
-  the pool fed.
-* **Backend-aware leases**: a lease tagged ``backend="analytic"`` is
-  evaluated in one vectorized numpy pass in the worker parent —
-  hundreds of closed-form cells per HTTP round trip.
+The cells run on the worker's own
+:class:`~repro.runtime.runner.CellExecutor`, the executor the local
+runner uses, with ``procs`` (``--procs`` / ``REPRO_WORKER_PROCS``,
+default ``os.cpu_count()``) pool processes and ``stall_timeout_s`` as
+its stall timeout.  The worker ships every wave the executor yields:
+one cell at a time in-process, one completion step at a time from the
+pool, one vectorized pass for a lease tagged ``backend="analytic"``.
+Exceptions and stalled cells are shipped as billed failure reports
+(the coordinator owns the retry budget); crashed cells are rerun by the
+executor and never reported.  The worker registers ``procs`` as its
+*capacity* so the coordinator sizes leases to keep the pool fed.
 
 The worker is also the injection point for the distributed failure
 modes (:data:`repro.runtime.faults.WORKER_FAULT_KINDS`): when a fault
@@ -45,8 +40,6 @@ from __future__ import annotations
 
 import argparse
 import base64
-import concurrent.futures
-import multiprocessing
 import os
 import pickle
 import threading
@@ -55,14 +48,10 @@ import typing as _t
 
 from repro.fabric.coordinator import result_checksum
 from repro.runtime import faults
-from repro.runtime.runner import _simulate_cell
+from repro.runtime.runner import CellAttempt, CellExecutor
 from repro.service.client import ServiceClient, ServiceError
 
 __all__ = ["FabricWorker", "main", "resolve_worker_procs"]
-
-#: Pool-crash rebuild rounds before a lease falls back to in-process
-#: serial simulation (mirrors the local runner's fruitless-crash cap).
-_MAX_POOL_REBUILDS = 2
 
 
 def resolve_worker_procs(explicit: int | None = None) -> int:
@@ -127,18 +116,22 @@ class FabricWorker:
         self.worker_timeout_s = 5.0
         self.cells_done = 0
         self.leases_taken = 0
-        self.pool_rebuilds = 0
         self._client = ServiceClient(
             host, port, timeout_s=timeout_s, retries=4
         )
         self._hb_client: ServiceClient | None = None
-        self._pool: concurrent.futures.ProcessPoolExecutor | None = None
+        self._executor = CellExecutor(self.procs)
         self._stop = threading.Event()
         self._hb_suppressed = threading.Event()
         self._hb_lease: str | None = None
         self._hb_thread: threading.Thread | None = None
 
     # -- plumbing -----------------------------------------------------------
+
+    @property
+    def pool_rebuilds(self) -> int:
+        """Pool resets after a crash or a stall, over all leases."""
+        return self._executor.rebuilds
 
     @property
     def reconnects(self) -> int:
@@ -201,30 +194,6 @@ class FabricWorker:
     def stop(self) -> None:
         """Ask the worker loop to exit (in-thread fleets)."""
         self._stop.set()
-
-    # -- the local pool -----------------------------------------------------
-
-    def _get_pool(self) -> concurrent.futures.ProcessPoolExecutor:
-        if self._pool is None:
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX
-                context = multiprocessing.get_context()
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.procs, mp_context=context
-            )
-        return self._pool
-
-    def _reset_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-            self.pool_rebuilds += 1
-
-    def _shutdown_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
 
     # -- the loop -----------------------------------------------------------
 
@@ -302,7 +271,7 @@ class FabricWorker:
             pass
         finally:
             self._stop.set()
-            self._shutdown_pool()
+            self._executor.shutdown()
         return self.cells_done
 
     def _die(self) -> None:
@@ -356,17 +325,6 @@ class FabricWorker:
             "checksum": result_checksum(n, f, time_s, energy_j),
         }
 
-    @staticmethod
-    def _failure(
-        n: int, f: float, attempt: int, error: BaseException | str
-    ) -> dict[str, _t.Any]:
-        message = (
-            error
-            if isinstance(error, str)
-            else f"{type(error).__name__}: {error}"
-        )
-        return {"cell": [n, f], "attempt": attempt, "error": message}
-
     def _apply_worker_fault(
         self,
         kind: str | None,
@@ -404,10 +362,9 @@ class FabricWorker:
             if self._plan is not None
             else faults.active_fault_plan()
         )
-        items = [
+        cells = [
             (
-                int(item["cell"][0]),
-                float(item["cell"][1]),
+                (int(item["cell"][0]), float(item["cell"][1])),
                 int(item.get("attempt", 0)),
             )
             for item in doc.get("cells", ())
@@ -419,9 +376,9 @@ class FabricWorker:
             # coordinator reassigns it), the payload faults mutate
             # individual completions below.
             kinds: dict[tuple[int, float], str | None] = {}
-            for n, f, attempt in items:
+            for cell, attempt in cells:
                 kind = (
-                    plan.worker_fault_for(n, f, attempt)
+                    plan.worker_fault_for(*cell, attempt)
                     if plan is not None
                     else None
                 )
@@ -434,24 +391,49 @@ class FabricWorker:
                     self._hb_suppressed.set()
                     self._stop.wait(self._stall_s())
                     return
-                kinds[(n, f)] = kind
+                kinds[cell] = kind
+            if backend == "analytic":
+                try:
+                    waves = [CellExecutor.evaluate(benchmark, spec, cells)]
+                except Exception as error:  # ship it; don't die
+                    message = repr(error)
+                    waves = [[
+                        (CellAttempt(c, a, "exception", message), None)
+                        for c, a in cells
+                    ]]
+            else:
+                waves = self._executor.run(
+                    benchmark,
+                    spec,
+                    cells,
+                    plan,
+                    stall_timeout_s=self.stall_timeout_s,
+                )
             duplicates: list[dict[str, _t.Any]] = []
             deferred: list[dict[str, _t.Any]] = []
-            if backend == "analytic":
-                self._run_analytic_lease(
-                    benchmark, spec, items, lease_id, batch_id,
-                    kinds, duplicates, deferred,
-                )
-            elif self.procs > 1 and len(items) > 1:
-                self._run_pooled_lease(
-                    benchmark, spec, items, plan, lease_id, batch_id,
-                    kinds, duplicates, deferred,
-                )
-            else:
-                self._run_serial_lease(
-                    benchmark, spec, items, plan, lease_id, batch_id,
-                    kinds, duplicates, deferred,
-                )
+            for wave in waves:
+                # Crashed cells are not reported: the executor reruns
+                # them, and the coordinator owns attempt numbering.
+                results = []
+                failures = []
+                for attempt, result in wave:
+                    n, f = attempt.cell
+                    if result is not None:
+                        completion = self._completion(
+                            n, f, attempt.attempt, *result
+                        )
+                        if not self._apply_worker_fault(
+                            kinds.get(attempt.cell), completion,
+                            duplicates, deferred,
+                        ):
+                            results.append(completion)
+                    elif attempt.outcome != "crash":
+                        failures.append({
+                            "cell": [n, f],
+                            "attempt": attempt.attempt,
+                            "error": attempt.error,
+                        })
+                self._ship(lease_id, batch_id, results, failures)
             if duplicates:
                 self._post(
                     "/fabric/complete",
@@ -472,213 +454,6 @@ class FabricWorker:
         finally:
             self._hb_lease = None
             self._hb_suppressed.clear()
-
-    def _run_serial_lease(
-        self,
-        benchmark: _t.Any,
-        spec: _t.Any,
-        items: list[tuple[int, float, int]],
-        plan: faults.FaultPlan | None,
-        lease_id: str,
-        batch_id: str,
-        kinds: dict[tuple[int, float], str | None],
-        duplicates: list[dict[str, _t.Any]],
-        deferred: list[dict[str, _t.Any]],
-    ) -> None:
-        """Simulate cells one at a time, streaming each completion."""
-        for n, f, attempt in items:
-            try:
-                time_s, energy_j, wall_s, stats = _simulate_cell(
-                    benchmark, n, f, spec, attempt, plan
-                )
-            except Exception as error:  # ship it; don't die
-                self._ship(
-                    lease_id, batch_id, [],
-                    [self._failure(n, f, attempt, error)],
-                )
-                continue
-            completion = self._completion(
-                n, f, attempt, time_s, energy_j, wall_s, stats
-            )
-            if self._apply_worker_fault(
-                kinds.get((n, f)), completion, duplicates, deferred
-            ):
-                continue
-            self._ship(lease_id, batch_id, [completion], [])
-
-    def _run_pooled_lease(
-        self,
-        benchmark: _t.Any,
-        spec: _t.Any,
-        items: list[tuple[int, float, int]],
-        plan: faults.FaultPlan | None,
-        lease_id: str,
-        batch_id: str,
-        kinds: dict[tuple[int, float], str | None],
-        duplicates: list[dict[str, _t.Any]],
-        deferred: list[dict[str, _t.Any]],
-    ) -> None:
-        """Fan one lease's cells across the local process pool.
-
-        Streams each completed wave back immediately.  Recovery
-        mirrors the local runner: a broken pool is rebuilt and its
-        unfinished cells re-run with a bumped attempt number (so a
-        seeded in-cell crash does not re-fire forever), bounded by
-        ``_MAX_POOL_REBUILDS`` rounds before falling back to
-        in-process serial simulation; a round that is silent past
-        ``stall_timeout_s`` is declared hung — running cells are
-        shipped as billed failures, unstarted ones re-run.
-        """
-        todo = list(items)
-        rebuilds = 0
-        while todo:
-            if rebuilds > _MAX_POOL_REBUILDS:
-                # The pool keeps dying: finish what is left serially
-                # in the parent (same degradation as the local
-                # runner's fruitless-crash fallback).
-                self._run_serial_lease(
-                    benchmark, spec, todo, plan, lease_id, batch_id,
-                    kinds, duplicates, deferred,
-                )
-                return
-            pool = self._get_pool()
-            pending = {
-                pool.submit(
-                    _simulate_cell, benchmark, n, f, spec, attempt,
-                    plan,
-                ): (n, f, attempt)
-                for n, f, attempt in todo
-            }
-            broken: list[tuple[int, float, int]] = []
-            requeued: list[tuple[int, float, int]] = []
-            hung = False
-            while pending:
-                done, _ = concurrent.futures.wait(
-                    pending,
-                    timeout=self.stall_timeout_s,
-                    return_when=concurrent.futures.FIRST_COMPLETED,
-                )
-                if not done:
-                    # Stall: no completion within the window.  Bill
-                    # the running cells (the coordinator retries
-                    # them), requeue the unstarted ones for free.
-                    hung = True
-                    failures = []
-                    for future, (n, f, attempt) in list(
-                        pending.items()
-                    ):
-                        if future.cancel():
-                            requeued.append((n, f, attempt))
-                        else:
-                            failures.append(
-                                self._failure(
-                                    n, f, attempt,
-                                    "cell stalled past worker "
-                                    "timeout; pool reset",
-                                )
-                            )
-                    self._ship(lease_id, batch_id, [], failures)
-                    pending.clear()
-                    break
-                wave: list[dict[str, _t.Any]] = []
-                failures = []
-                for future in done:
-                    n, f, attempt = pending.pop(future)
-                    try:
-                        time_s, energy_j, wall_s, stats = (
-                            future.result()
-                        )
-                    except concurrent.futures.process.BrokenProcessPool:
-                        broken.append((n, f, attempt))
-                        continue
-                    except concurrent.futures.CancelledError:
-                        requeued.append((n, f, attempt))
-                        continue
-                    except Exception as error:
-                        failures.append(
-                            self._failure(n, f, attempt, error)
-                        )
-                        continue
-                    completion = self._completion(
-                        n, f, attempt, time_s, energy_j, wall_s,
-                        stats,
-                    )
-                    if not self._apply_worker_fault(
-                        kinds.get((n, f)), completion, duplicates,
-                        deferred,
-                    ):
-                        wave.append(completion)
-                self._ship(lease_id, batch_id, wave, failures)
-            if hung or broken:
-                self._reset_pool()
-                rebuilds += 1
-            # A pool crash is not the cell's fault, but re-running a
-            # seeded in-cell crash at the same attempt would re-fire
-            # it forever — bump the attempt locally (the coordinator
-            # overrides reported attempts with the lease's own, so
-            # this only affects fault draws).
-            todo = [(n, f, a + 1) for n, f, a in broken] + requeued
-
-    def _run_analytic_lease(
-        self,
-        benchmark: _t.Any,
-        spec: _t.Any,
-        items: list[tuple[int, float, int]],
-        lease_id: str,
-        batch_id: str,
-        kinds: dict[tuple[int, float], str | None],
-        duplicates: list[dict[str, _t.Any]],
-        deferred: list[dict[str, _t.Any]],
-    ) -> None:
-        """Evaluate an analytic lease in one vectorized pass.
-
-        The closed-form kernels are elementwise, so evaluating a
-        lease-sized subset is bit-identical to evaluating the whole
-        grid — the wall time is split evenly across cells, exactly
-        like the local analytic path.
-        """
-        from repro.analytic import AnalyticCampaignModel
-
-        cells = [(n, f) for n, f, _ in items]
-        start = time.perf_counter()
-        try:
-            evaluation = AnalyticCampaignModel(
-                benchmark, spec
-            ).evaluate_cells(cells)
-        except Exception as error:
-            self._ship(
-                lease_id, batch_id, [],
-                [
-                    self._failure(n, f, attempt, error)
-                    for n, f, attempt in items
-                ],
-            )
-            return
-        wall_share = (time.perf_counter() - start) / max(
-            len(cells), 1
-        )
-        times = evaluation.times_by_cell()
-        energies = evaluation.energies_by_cell()
-        wave: list[dict[str, _t.Any]] = []
-        for n, f, attempt in items:
-            completion = self._completion(
-                n,
-                f,
-                attempt,
-                times[(n, f)],
-                energies[(n, f)],
-                wall_share,
-                {
-                    "events_processed": 0,
-                    "processes_spawned": 0,
-                    "peak_queue_len": 0,
-                },
-            )
-            if not self._apply_worker_fault(
-                kinds.get((n, f)), completion, duplicates, deferred
-            ):
-                wave.append(completion)
-        self._ship(lease_id, batch_id, wave, [])
 
 
 def main(argv: _t.Sequence[str] | None = None) -> int:

@@ -1,27 +1,31 @@
-"""Fault-tolerant parallel campaign cell execution.
+"""Fault-tolerant campaign cell execution.
 
 Every (processor count, frequency) cell of a measurement campaign is an
 independent deterministic simulation — embarrassingly parallel.  This
-module fans cells out across a persistent :class:`~concurrent.futures.
-ProcessPoolExecutor` and merges the results back in *grid order*, so a
+module runs cells and merges the results back in *grid order*, so a
 parallel run is bit-identical to a serial one: same floats, same dict
 insertion order.
 
-On top of the fan-out sits a fault-tolerance layer:
+:class:`CellExecutor` is the one mechanism that runs cells, here and in
+the fabric worker (:mod:`repro.fabric.worker`).  It streams outcome
+waves, runs cells in-process or on a fork process pool, and owns the
+pool's failure handling:
 
-* **Per-cell retries with exponential backoff.**  A cell whose worker
-  raises gets re-submitted (with an incremented attempt number, which
-  the fault-injection harness keys on) up to ``retries`` more times.
-* **Per-cell timeouts.**  If no cell completes within ``cell_timeout``
-  seconds, every still-running cell is declared hung; the pool is
-  hard-reset (hung workers are *terminated*, not waited on) and the
-  stuck cells retried.  Cells that never started are re-queued without
-  consuming an attempt.
 * **Crash recovery.**  A worker dying (segfault, ``os._exit``) breaks
   the whole pool, but futures that already completed keep their
-  results — only the unfinished cells are re-submitted to a fresh
-  pool.  Two fruitless crash rounds in a row drop the remainder to
-  the serial path.
+  results — only the unfinished cells are resubmitted to a fresh pool.
+  Two fruitless breaks in a row drop the remainder to the in-process
+  path.
+* **Stalls.**  If no cell completes within the stall timeout, the
+  pool's workers are *terminated* (not waited on), the running cells
+  are billed as timed out and the cells that never started are
+  resubmitted without consuming an attempt.
+
+Around it, :func:`execute_cells` keeps the campaign's policy:
+
+* **Per-cell retries with exponential backoff.**  A cell that raises or
+  times out is re-submitted (with an incremented attempt number, which
+  the fault-injection harness keys on) up to ``retries`` more times.
 * **Graceful degradation.**  With ``allow_partial`` the surviving
   cells are returned together with per-cell
   :class:`~repro.errors.CellExecutionError` failure records; without
@@ -33,10 +37,10 @@ produces exactly the bytes it would have produced on a clean first
 run, so a fault-ridden campaign that completes is bit-identical to an
 undisturbed one.
 
-The pool is created lazily, reused across campaigns (startup cost is
-paid once per process, not per campaign) and torn down at interpreter
-exit — with ``wait=True`` there, so no forked child outlives the
-interpreter.
+The runner's pool is created lazily, reused across campaigns (startup
+cost is paid once per process, not per campaign) and torn down at
+interpreter exit — with ``wait=True`` there, so no forked child
+outlives the interpreter.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from __future__ import annotations
 import atexit
 import concurrent.futures
 import dataclasses
+import itertools
 import multiprocessing
 import pickle
 import time
@@ -64,6 +69,7 @@ __all__ = [
     "DEFAULT_RETRIES",
     "DEFAULT_RETRY_BACKOFF_S",
     "CellAttempt",
+    "CellExecutor",
     "CampaignExecution",
     "check_backend",
     "execute_campaign",
@@ -102,11 +108,11 @@ DEFAULT_RETRIES = 2
 DEFAULT_RETRY_BACKOFF_S = 0.05
 
 #: After this many consecutive pool breaks that harvested zero new
-#: results, the remaining cells run serially instead.
+#: results, the remaining cells run in-process instead.
 _MAX_FRUITLESS_CRASHES = 2
 
-_EXECUTOR: concurrent.futures.ProcessPoolExecutor | None = None
-_EXECUTOR_JOBS = 0
+#: The process-wide pooled executor (see :func:`_get_executor`).
+_EXECUTOR: CellExecutor | None = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -298,19 +304,284 @@ def _simulate_cell(
     )
 
 
-def _get_executor(jobs: int) -> concurrent.futures.ProcessPoolExecutor:
-    global _EXECUTOR, _EXECUTOR_JOBS
-    if _EXECUTOR is None or _EXECUTOR_JOBS < jobs:
-        if _EXECUTOR is not None:
-            _EXECUTOR.shutdown(wait=False, cancel_futures=True)
+#: What one finished try yields: its attempt record and, for an
+#: ``"ok"`` outcome, ``(elapsed_s, energy_j, sim wall s, engine stats)``.
+Outcome = tuple[CellAttempt, tuple[float, float, float, dict] | None]
+
+
+class CellExecutor:
+    """Runs ``(cell, attempt)`` items and streams their outcomes.
+
+    The one cell-execution mechanism, shared by the local runner and
+    the fabric worker.  :meth:`run` yields *waves* — lists of
+    :data:`Outcome` pairs — as cells finish; an outcome is ``"ok"``,
+    ``"exception"``, ``"timeout"`` or ``"crash"``.
+
+    * **In-process** when ``procs == 1`` or there is a single item:
+      one cell per wave.  A hang cannot be interrupted here, and an
+      injected crash degrades to an exception.
+    * **Pooled** otherwise, over a fork process pool of ``procs``
+      workers that lives across calls: one wave per completion step.
+    * **Crash.**  A dying child breaks the whole pool, but finished
+      cells keep their results.  The round's unfinished cells are
+      yielded as one wave of ``"crash"`` outcomes, the pool is rebuilt
+      and they are resubmitted at ``attempt + 1``: a crash is not the
+      cell's fault, but re-running a seeded crash at the same attempt
+      would re-fire it forever.  After ``_MAX_FRUITLESS_CRASHES``
+      consecutive breaks that finished no cell, the rest runs
+      in-process.
+    * **Stall.**  If no cell completes for ``stall_timeout_s``, the
+      pool's children are terminated (``shutdown`` never interrupts a
+      running task), the running cells are billed as ``"timeout"`` and
+      the unstarted ones resubmitted at the same attempt.
+
+    ``"exception"`` and ``"timeout"`` outcomes are final unless
+    ``requeue(cell)`` — asked after the caller has seen the outcome —
+    says to try again at ``attempt + 1``: in the next pool round, or
+    in-process at once for that cell.  The ``k``-th retry round (of
+    the pool, or of one cell in-process) waits ``backoff_s *
+    2**(k - 1)`` seconds first.
+    """
+
+    def __init__(self, procs: int = 1) -> None:
+        self.procs = max(1, int(procs))
+        #: Pool resets so far, after a crash or a stall.
+        self.rebuilds = 0
+        self._pool: concurrent.futures.ProcessPoolExecutor | None = None
+
+    def _get_pool(self) -> concurrent.futures.ProcessPoolExecutor:
+        if self._pool is None:
+            try:
+                context = multiprocessing.get_context("fork")
+            except ValueError:  # pragma: no cover - non-POSIX platforms
+                context = multiprocessing.get_context()
+            self._pool = concurrent.futures.ProcessPoolExecutor(
+                max_workers=self.procs, mp_context=context
+            )
+        return self._pool
+
+    def shutdown(self, wait: bool = False, *, terminate: bool = False) -> None:
+        """Discard the pool (idempotent; it restarts on demand).
+
+        ``terminate`` kills the children first and then reaps them —
+        the only way to clear a hung one.
+        """
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        if terminate:
+            for process in list((pool._processes or {}).values()):
+                try:
+                    process.terminate()
+                except Exception:  # pragma: no cover - racing death
+                    pass
+            wait = True
         try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            context = multiprocessing.get_context()
-        _EXECUTOR = concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs, mp_context=context
+            pool.shutdown(wait=wait, cancel_futures=True)
+        except Exception:  # pragma: no cover - pool already broken
+            pass
+
+    @staticmethod
+    def evaluate(
+        benchmark: BenchmarkModel,
+        spec: ClusterSpec,
+        items: _t.Sequence[tuple[Cell, int]],
+    ) -> list[Outcome]:
+        """Evaluate cells through the closed-form analytic backend.
+
+        One vectorized numpy pass, returned as one wave.  No pool and
+        no retries: the evaluation is pure arithmetic, so a failure is
+        a configuration error and raises.  Per-cell wall time is the
+        pass's elapsed time split evenly, and engine stats are zero:
+        no simulation events happen on this path.
+        """
+        from repro.analytic import AnalyticCampaignModel
+
+        start = time.perf_counter()
+        evaluation = AnalyticCampaignModel(benchmark, spec).evaluate_cells(
+            [cell for cell, _ in items]
         )
-        _EXECUTOR_JOBS = jobs
+        wall_share = (time.perf_counter() - start) / max(len(items), 1)
+        times = evaluation.times_by_cell()
+        energies = evaluation.energies_by_cell()
+        return [
+            (
+                CellAttempt(cell, attempt, "ok", wall_s=wall_share),
+                (
+                    times[cell],
+                    energies[cell],
+                    wall_share,
+                    {
+                        "events_processed": 0,
+                        "processes_spawned": 0,
+                        "peak_queue_len": 0,
+                    },
+                ),
+            )
+            for cell, attempt in items
+        ]
+
+    def run(
+        self,
+        benchmark: BenchmarkModel,
+        spec: ClusterSpec,
+        items: _t.Sequence[tuple[Cell, int]],
+        plan: faults.FaultPlan | None = None,
+        *,
+        stall_timeout_s: float | None = None,
+        requeue: _t.Callable[[Cell], bool] | None = None,
+        backoff_s: float = 0.0,
+    ) -> _t.Iterator[list[Outcome]]:
+        """Simulate ``items`` in the DES, yielding outcome waves.
+
+        ``plan`` is shipped into the pool's children explicitly, so
+        injection works even in children forked before it was
+        installed.
+        """
+        todo = list(items)
+        in_process = self.procs == 1 or len(todo) == 1
+        fruitless = 0
+        round_no = 0
+        while todo:
+            if round_no and backoff_s > 0:
+                time.sleep(backoff_s * 2 ** (round_no - 1))
+            round_no += 1
+            if in_process or fruitless >= _MAX_FRUITLESS_CRASHES:
+                yield from self._run_here(
+                    benchmark, spec, todo, plan, requeue, backoff_s
+                )
+                return
+            again: dict[Cell, int] = {}  # next round's attempt per cell
+            failed: list[tuple[Cell, int]] = []
+            crashed: list[Outcome] = []
+            finished = hung = False
+            pool = self._get_pool()
+            futures = {
+                pool.submit(
+                    _simulate_cell, benchmark, n, f, spec, attempt, plan
+                ): ((n, f), attempt)
+                for (n, f), attempt in todo
+            }
+            while futures:
+                done, _ = concurrent.futures.wait(
+                    futures,
+                    timeout=stall_timeout_s,
+                    return_when=concurrent.futures.FIRST_COMPLETED,
+                )
+                wave: list[Outcome] = []
+                if not done:
+                    hung = True
+                    for future, (cell, attempt) in futures.items():
+                        if future.cancel():
+                            again[cell] = attempt  # never started: free
+                            continue
+                        failed.append((cell, attempt))
+                        wave.append((
+                            CellAttempt(
+                                cell,
+                                attempt,
+                                "timeout",
+                                error=(
+                                    f"no completion within "
+                                    f"{stall_timeout_s}s; worker terminated"
+                                ),
+                            ),
+                            None,
+                        ))
+                    futures.clear()
+                for future in done:
+                    cell, attempt = futures.pop(future)
+                    try:
+                        result = future.result()
+                    except concurrent.futures.process.BrokenProcessPool:
+                        again[cell] = attempt + 1
+                        crashed.append((
+                            CellAttempt(
+                                cell,
+                                attempt,
+                                "crash",
+                                error="worker process died (pool broken)",
+                            ),
+                            None,
+                        ))
+                    except concurrent.futures.CancelledError:
+                        again[cell] = attempt  # never started: free
+                    except Exception as exc:
+                        failed.append((cell, attempt))
+                        wave.append((
+                            CellAttempt(
+                                cell, attempt, "exception", error=repr(exc)
+                            ),
+                            None,
+                        ))
+                    else:
+                        finished = True
+                        wave.append((
+                            CellAttempt(cell, attempt, "ok", wall_s=result[2]),
+                            result,
+                        ))
+                if wave:
+                    yield wave
+            if crashed:
+                yield crashed
+                fruitless = 0 if finished else fruitless + 1
+            if hung or crashed:
+                self.shutdown(terminate=hung)
+                self.rebuilds += 1
+            for cell, attempt in failed:
+                if requeue is not None and requeue(cell):
+                    again[cell] = attempt + 1
+            todo = [(cell, again[cell]) for cell, _ in todo if cell in again]
+
+    @staticmethod
+    def _run_here(
+        benchmark: BenchmarkModel,
+        spec: ClusterSpec,
+        todo: _t.Sequence[tuple[Cell, int]],
+        plan: faults.FaultPlan | None,
+        requeue: _t.Callable[[Cell], bool] | None,
+        backoff_s: float,
+    ) -> _t.Iterator[list[Outcome]]:
+        """The in-process path: one cell at a time, retried at once."""
+        for (n, f), attempt in todo:
+            cell = (n, f)
+            for retry in itertools.count():
+                start = time.perf_counter()
+                try:
+                    result = _simulate_cell(
+                        benchmark, n, f, spec, attempt, plan
+                    )
+                except Exception as exc:
+                    yield [(
+                        CellAttempt(
+                            cell,
+                            attempt,
+                            "exception",
+                            error=repr(exc),
+                            wall_s=time.perf_counter() - start,
+                        ),
+                        None,
+                    )]
+                    if requeue is None or not requeue(cell):
+                        break
+                    if backoff_s > 0:
+                        time.sleep(backoff_s * 2**retry)
+                    attempt += 1
+                else:
+                    yield [(
+                        CellAttempt(cell, attempt, "ok", wall_s=result[2]),
+                        result,
+                    )]
+                    break
+
+
+def _get_executor(jobs: int) -> CellExecutor:
+    """The process-wide executor, grown to at least ``jobs`` workers."""
+    global _EXECUTOR
+    if _EXECUTOR is None or _EXECUTOR.procs < jobs:
+        if _EXECUTOR is not None:
+            _EXECUTOR.shutdown()
+        _EXECUTOR = CellExecutor(jobs)
     return _EXECUTOR
 
 
@@ -321,11 +592,10 @@ def shutdown_executor(wait: bool = False) -> None:
     recovery; the interpreter-exit hook passes ``wait=True`` so forked
     children are reaped rather than orphaned past exit.
     """
-    global _EXECUTOR, _EXECUTOR_JOBS
+    global _EXECUTOR
     if _EXECUTOR is not None:
-        _EXECUTOR.shutdown(wait=wait, cancel_futures=True)
+        _EXECUTOR.shutdown(wait=wait)
         _EXECUTOR = None
-        _EXECUTOR_JOBS = 0
 
 
 def _shutdown_at_exit() -> None:
@@ -335,296 +605,20 @@ def _shutdown_at_exit() -> None:
 atexit.register(_shutdown_at_exit)
 
 
-def _hard_reset_executor() -> None:
-    """Terminate every worker outright and discard the pool.
-
-    The only way to clear a *hung* worker: ``shutdown`` (with or
-    without ``wait``) never interrupts a task that is already
-    running.  Terminated children are then reaped by ``wait=True``.
-    """
-    global _EXECUTOR, _EXECUTOR_JOBS
-    executor = _EXECUTOR
-    _EXECUTOR = None
-    _EXECUTOR_JOBS = 0
-    if executor is None:
-        return
-    for process in list(getattr(executor, "_processes", {}).values()):
-        try:
-            process.terminate()
-        except Exception:  # pragma: no cover - racing process death
-            pass
-    try:
-        executor.shutdown(wait=True, cancel_futures=True)
-    except Exception:  # pragma: no cover - pool already broken
-        pass
-
-
 def _own_fault_attempts(log: list[CellAttempt], cell: Cell) -> int:
     """Failed attempts attributable to the cell itself.
 
     Crash outcomes are excluded: when a pool breaks, every unfinished
     future reports :class:`BrokenProcessPool` and the runner cannot
     tell the guilty cell from innocent bystanders, so crashes are
-    bounded by the round limit instead of the per-cell budget.
+    bounded by the executor's fruitless-crash rule instead of the
+    per-cell budget.
     """
     return sum(
         1
         for a in log
         if a.cell == cell and a.outcome in ("exception", "timeout")
     )
-
-
-def _run_serial_attempts(
-    benchmark: BenchmarkModel,
-    cells: _t.Sequence[Cell],
-    spec: ClusterSpec,
-    *,
-    retries: int,
-    backoff_s: float,
-    attempt_index: dict[Cell, int],
-    log: list[CellAttempt],
-    results: dict[Cell, tuple[float, float, float, dict]],
-    plan: faults.FaultPlan | None = None,
-) -> None:
-    """Serial execution with the same retry accounting as parallel.
-
-    Timeouts are not enforceable in-process (a hang blocks the caller)
-    — that protection requires ``jobs > 1``.  Injected crashes degrade
-    to exceptions in the main process, so they retry like any error.
-    """
-    for cell in cells:
-        if cell in results:
-            continue
-        n, f = cell
-        while True:
-            attempt = attempt_index[cell]
-            attempt_index[cell] = attempt + 1
-            start = time.perf_counter()
-            try:
-                results[cell] = _simulate_cell(
-                    benchmark, n, f, spec, attempt, plan
-                )
-            except Exception as exc:
-                log.append(
-                    CellAttempt(
-                        cell,
-                        attempt,
-                        "exception",
-                        error=repr(exc),
-                        wall_s=time.perf_counter() - start,
-                    )
-                )
-                if _own_fault_attempts(log, cell) > retries:
-                    break
-                if backoff_s > 0:
-                    time.sleep(backoff_s * 2**attempt)
-            else:
-                log.append(
-                    CellAttempt(
-                        cell, attempt, "ok", wall_s=results[cell][2]
-                    )
-                )
-                break
-
-
-def _run_analytic_cells(
-    benchmark: BenchmarkModel,
-    cells: _t.Sequence[Cell],
-    spec: ClusterSpec,
-    *,
-    attempt_index: dict[Cell, int],
-    log: list[CellAttempt],
-    results: dict[Cell, tuple[float, float, float, dict]],
-) -> None:
-    """Evaluate cells through the closed-form analytic backend.
-
-    One vectorized numpy pass over the whole cell list — no process
-    pool, no retries (the evaluation is pure arithmetic; any failure is
-    a configuration error and raises immediately).  Per-cell wall time
-    is the pass's elapsed time split evenly, and engine stats are zero:
-    no simulation events happen on this path.
-    """
-    from repro.analytic import AnalyticCampaignModel
-
-    start = time.perf_counter()
-    evaluation = AnalyticCampaignModel(benchmark, spec).evaluate_cells(
-        cells
-    )
-    wall_share = (time.perf_counter() - start) / max(len(cells), 1)
-    times = evaluation.times_by_cell()
-    energies = evaluation.energies_by_cell()
-    for cell in cells:
-        attempt = attempt_index[cell]
-        attempt_index[cell] = attempt + 1
-        results[cell] = (
-            times[cell],
-            energies[cell],
-            wall_share,
-            {
-                "events_processed": 0,
-                "processes_spawned": 0,
-                "peak_queue_len": 0,
-            },
-        )
-        log.append(CellAttempt(cell, attempt, "ok", wall_s=wall_share))
-
-
-def _harvest_round(
-    futures: dict[concurrent.futures.Future, Cell],
-    *,
-    cell_timeout: float | None,
-    attempt_of: dict[concurrent.futures.Future, int],
-    log: list[CellAttempt],
-    results: dict[Cell, tuple[float, float, float, dict]],
-) -> tuple[bool, bool]:
-    """Collect one round of futures; returns (pool_broken, hung).
-
-    Waits for completions one ``FIRST_COMPLETED`` step at a time.  If
-    *no* future completes within ``cell_timeout`` the still-running
-    cells are recorded as timed out (queued-but-unstarted futures are
-    cancelled without consuming an attempt) and the round ends with
-    ``hung=True`` so the caller can hard-reset the pool.
-    """
-    outstanding = dict(futures)
-    pool_broken = False
-    while outstanding:
-        done, _ = concurrent.futures.wait(
-            outstanding,
-            timeout=cell_timeout,
-            return_when=concurrent.futures.FIRST_COMPLETED,
-        )
-        if not done:
-            for future, cell in outstanding.items():
-                if future.cancel():
-                    continue  # never started: retry costs no attempt
-                log.append(
-                    CellAttempt(
-                        cell,
-                        attempt_of[future],
-                        "timeout",
-                        error=(
-                            f"no completion within {cell_timeout}s; "
-                            "worker terminated"
-                        ),
-                    )
-                )
-            return pool_broken, True
-        for future in done:
-            cell = outstanding.pop(future)
-            try:
-                results[cell] = future.result()
-            except concurrent.futures.process.BrokenProcessPool:
-                pool_broken = True
-                log.append(
-                    CellAttempt(
-                        cell,
-                        attempt_of[future],
-                        "crash",
-                        error="worker process died (pool broken)",
-                    )
-                )
-            except concurrent.futures.CancelledError:
-                pass  # re-queued by the caller, no attempt consumed
-            except Exception as exc:
-                log.append(
-                    CellAttempt(
-                        cell,
-                        attempt_of[future],
-                        "exception",
-                        error=repr(exc),
-                    )
-                )
-            else:
-                log.append(
-                    CellAttempt(
-                        cell,
-                        attempt_of[future],
-                        "ok",
-                        wall_s=results[cell][2],
-                    )
-                )
-    return pool_broken, False
-
-
-def _run_parallel_resilient(
-    benchmark: BenchmarkModel,
-    cells: _t.Sequence[Cell],
-    spec: ClusterSpec,
-    jobs: int,
-    *,
-    retries: int,
-    cell_timeout: float | None,
-    backoff_s: float,
-    attempt_index: dict[Cell, int],
-    log: list[CellAttempt],
-    results: dict[Cell, tuple[float, float, float, dict]],
-) -> tuple[int, int]:
-    """Retry loop over the process pool; returns (jobs_used, crashes)."""
-    plan = faults.active_fault_plan()
-    crash_recoveries = 0
-    fruitless_crashes = 0
-    jobs_used = jobs
-    max_rounds = retries + 1 + _MAX_FRUITLESS_CRASHES
-    for round_no in range(max_rounds):
-        pending = [
-            cell
-            for cell in cells
-            if cell not in results
-            and _own_fault_attempts(log, cell) <= retries
-        ]
-        if not pending:
-            break
-        if round_no > 0 and backoff_s > 0:
-            time.sleep(backoff_s * 2 ** (round_no - 1))
-        if fruitless_crashes >= _MAX_FRUITLESS_CRASHES:
-            _run_serial_attempts(
-                benchmark,
-                pending,
-                spec,
-                retries=retries,
-                backoff_s=backoff_s,
-                attempt_index=attempt_index,
-                log=log,
-                results=results,
-                plan=plan,
-            )
-            break
-        executor = _get_executor(jobs)
-        jobs_used = max(jobs_used, min(_EXECUTOR_JOBS, len(cells)))
-        futures: dict[concurrent.futures.Future, Cell] = {}
-        attempt_of: dict[concurrent.futures.Future, int] = {}
-        for cell in pending:
-            n, f = cell
-            attempt = attempt_index[cell]
-            attempt_index[cell] = attempt + 1
-            future = executor.submit(
-                _simulate_cell, benchmark, n, f, spec, attempt, plan
-            )
-            futures[future] = cell
-            attempt_of[future] = attempt
-        harvested_before = len(results)
-        pool_broken, hung = _harvest_round(
-            futures,
-            cell_timeout=cell_timeout,
-            attempt_of=attempt_of,
-            log=log,
-            results=results,
-        )
-        # Cancelled/never-started cells did not consume their attempt.
-        for future, cell in futures.items():
-            if future.cancelled():
-                attempt_index[cell] -= 1
-        if hung:
-            _hard_reset_executor()
-        elif pool_broken:
-            shutdown_executor(wait=False)
-        if pool_broken:
-            crash_recoveries += 1
-            if len(results) == harvested_before:
-                fruitless_crashes += 1
-            else:
-                fruitless_crashes = 0
-    return jobs_used, crash_recoveries
 
 
 def execute_campaign(
@@ -652,10 +646,12 @@ def execute_campaign(
 
     ``retries`` is the extra attempts a cell gets after a failure of
     its own (exception or timeout); pool-wide crashes don't bill
-    innocent cells but are bounded by a round limit.  ``cell_timeout``
+    innocent cells but are bounded by the executor's fruitless-crash
+    rule (see :class:`CellExecutor`).  ``cell_timeout``
     (seconds; ``None`` disables) bounds the *stall* time — it fires
     when no cell at all completes for that long — and requires
-    ``jobs > 1`` since an in-process hang cannot be interrupted.  On
+    ``jobs > 1`` and more than one cell to simulate, since a lone cell
+    runs in-process, where a hang cannot be interrupted.  On
     exhausted budgets the campaign raises
     :class:`~repro.errors.CampaignExecutionError` unless
     ``allow_partial``, in which case surviving cells are returned
@@ -825,38 +821,32 @@ def execute_cells(
                 des_cells = list(outcome.stranded)
         fabric_workers = len(fleet_worker_ids)
     if analytic_local:
-        _run_analytic_cells(
+        for attempt, result in CellExecutor.evaluate(
             benchmark,
-            analytic_local,
             spec,
-            attempt_index=attempt_index,
-            log=log,
-            results=results,
-        )
-    if des_cells and jobs > 1:
-        jobs, crash_recoveries = _run_parallel_resilient(
+            [(cell, attempt_index[cell]) for cell in analytic_local],
+        ):
+            log.append(attempt)
+            results[attempt.cell] = result
+    if des_cells:
+        executor = _get_executor(jobs) if jobs > 1 else CellExecutor()
+        jobs = max(jobs, min(executor.procs, len(des_cells)))
+        waves = executor.run(
             benchmark,
-            des_cells,
             spec,
-            jobs,
-            retries=retries,
-            cell_timeout=cell_timeout,
+            [(cell, attempt_index[cell]) for cell in des_cells],
+            faults.active_fault_plan(),
+            stall_timeout_s=cell_timeout,
+            requeue=lambda cell: _own_fault_attempts(log, cell) <= retries,
             backoff_s=backoff_s,
-            attempt_index=attempt_index,
-            log=log,
-            results=results,
         )
-    elif des_cells:
-        _run_serial_attempts(
-            benchmark,
-            des_cells,
-            spec,
-            retries=retries,
-            backoff_s=backoff_s,
-            attempt_index=attempt_index,
-            log=log,
-            results=results,
-        )
+        for wave in waves:
+            if wave[0][0].outcome == "crash":
+                crash_recoveries += 1  # one crash wave per pool break
+            for attempt, result in wave:
+                log.append(attempt)
+                if result is not None:
+                    results[attempt.cell] = result
 
     failures = []
     for cell in cells:

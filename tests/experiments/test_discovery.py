@@ -46,26 +46,6 @@ class TestDiscovery:
 
 
 class TestLegacyRegister:
-    def test_register_wraps_function_into_spec(self):
-        from repro.experiments.registry import ExperimentResult
-
-        @registry.register("zz_legacy_probe", "Probe", "a probe")
-        def run(flavor: str = "plain") -> ExperimentResult:
-            return ExperimentResult(
-                "zz_legacy_probe", "Probe", "text", {"flavor": flavor}
-            )
-
-        try:
-            spec = registry.get_experiment("zz_legacy_probe")
-            assert [s.name for s in spec.stages] == ["render"]
-            assert spec.description == "a probe"
-            result = registry.run_experiment(
-                "zz_legacy_probe", flavor="spicy"
-            )
-            assert result.data == {"flavor": "spicy"}
-        finally:
-            registry._REGISTRY.pop("zz_legacy_probe", None)
-
     def test_unknown_experiment_still_raises(self):
         from repro.errors import UnknownExperimentError
 
